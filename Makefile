@@ -23,7 +23,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/telemetry/... ./internal/campaign/... ./internal/core/... \
-		./internal/netsim/... ./internal/dnsserver/...
+		./internal/netsim/... ./internal/dnsserver/... ./internal/kernel/... ./internal/victim/...
 	$(GO) test -tags netsimdebug ./internal/netsim/
 
 # Short budgeted runs of every native fuzz target (seed corpora already
@@ -37,6 +37,7 @@ fuzz:
 	$(GO) test -fuzz FuzzStep -fuzztime $(FUZZTIME) ./internal/isa/arms/
 	$(GO) test -fuzz FuzzScan -fuzztime $(FUZZTIME) ./internal/gadget/
 	$(GO) test -fuzz FuzzZoneTrie -fuzztime $(FUZZTIME) ./internal/dnsserver/
+	$(GO) test -fuzz FuzzRebase -fuzztime $(FUZZTIME) ./internal/mem/
 	$(GO) test -fuzz FuzzLZSSRoundTrip -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/lzss/
 	$(GO) test -fuzz FuzzSnapshotLoad -fuzztime $(FUZZTIME) -fuzzminimizetime=1x ./internal/snapshot/
 	$(GO) test -fuzz FuzzScenarioSpec -fuzztime $(FUZZTIME) ./internal/scenario/

@@ -921,3 +921,53 @@ func BenchmarkLZSS(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkProcessRecycle is the kernel-layer view of a device turnover:
+// a fresh kernel.Load against Process.Recycle under a new seed, for a
+// fixed layout (W⊕X), ASLR (libc relinked, libc and stack moved) and
+// ASLR+PIE (both images relinked and moved). Units are built once, as
+// the campaign engine's unit caches do.
+func BenchmarkProcessRecycle(b *testing.B) {
+	prog, err := victim.BuildProgram(isa.ArchX86S, victim.BuildOpts{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	libc, err := image.BuildLibc(isa.ArchX86S)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		cfg  kernel.Config
+	}{
+		{"wx", kernel.Config{WX: true}},
+		{"wx+aslr", kernel.Config{WX: true, ASLR: true}},
+		{"wx+aslr+pie", kernel.Config{WX: true, ASLR: true, PIE: true}},
+	} {
+		b.Run(c.name+"/load", func(b *testing.B) {
+			b.ReportAllocs()
+			cfg := c.cfg
+			for i := 0; i < b.N; i++ {
+				cfg.Seed = int64(i)
+				if _, err := kernel.Load(prog, libc, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/recycle", func(b *testing.B) {
+			b.ReportAllocs()
+			cfg := c.cfg
+			p, err := kernel.Load(prog, libc, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cfg.Seed = int64(i + 1)
+				if !p.Recycle(cfg) {
+					b.Fatal("recycle refused")
+				}
+			}
+		})
+	}
+}

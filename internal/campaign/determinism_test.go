@@ -8,9 +8,9 @@ import (
 )
 
 // determinismScenarios is a mixed workload: fleets, single cells, both
-// delivery modes, derived and pinned seeds, a build failure, and a
-// mitigation posture — everything whose ordering could conceivably
-// depend on scheduling.
+// delivery modes, derived and pinned seeds, a build failure, mitigation
+// postures and PIE/ASLR fleets whose recycled daemons move — everything
+// whose ordering could conceivably depend on scheduling.
 func determinismScenarios() []Scenario {
 	return []Scenario{
 		{Arch: isa.ArchARMS, Kind: exploit.KindRopMemcpy, Protection: LevelWXASLR,
@@ -21,6 +21,12 @@ func determinismScenarios() []Scenario {
 		{Arch: isa.ArchX86S, Kind: exploit.KindRet2Libc, Protection: LevelWX, TargetSeed: 2002},
 		{Arch: isa.ArchARMS, Kind: exploit.KindRopMemcpy,
 			Protection: Protection{WX: true, ASLR: true, CFI: true}, Devices: 2},
+		// PIE fleets: pooled daemons relink and move their segments for
+		// every device seed, whichever worker picks them up.
+		{Arch: isa.ArchX86S, Kind: exploit.KindRopMemcpy,
+			Protection: Protection{WX: true, PIE: true}, Devices: 16},
+		{Arch: isa.ArchARMS, Kind: exploit.KindRopMemcpy,
+			Protection: Protection{WX: true, ASLR: true, PIE: true}, Devices: 16, Pineapple: true},
 	}
 }
 

@@ -124,11 +124,14 @@ type Engine struct {
 	// linkOptions caches the §IV diversity permutations.
 	linkOptions *Cache[linkKey, image.Options]
 
-	// pool holds idle daemons for fixed-layout configurations (no
-	// ASLR/PIE/diversity), recycled between devices instead of relinking
-	// and remapping per trial. Recycling replays the per-device seed's
-	// random stream, so a pooled daemon is byte-identical to a fresh load
-	// and the report stays deterministic for any worker count.
+	// pool holds idle daemons per protection posture, recycled between
+	// devices instead of loading a fresh process per trial. Recycling
+	// reseeds the daemon's random stream with the device seed; under
+	// ASLR/PIE it relinks only the images whose base moved and moves
+	// their segments in place. A pooled daemon is therefore
+	// byte-identical to a fresh load, and the report stays deterministic
+	// for any worker count. Only diversity rows, whose link options
+	// differ per device, always load fresh.
 	pool   map[poolKey][]*victim.Daemon
 	poolMu sync.Mutex
 
@@ -137,12 +140,13 @@ type Engine struct {
 }
 
 // poolKey identifies daemons that are interchangeable under recycling: same
-// program/libc units and the same fixed memory layout.
+// program/libc units and the same protection axes and ASLR entropy.
 type poolKey struct {
-	arch    isa.Arch
-	opts    victim.BuildOpts
-	wx      bool
-	entropy int
+	arch      isa.Arch
+	opts      victim.BuildOpts
+	wx        bool
+	aslr, pie bool
+	entropy   int
 }
 
 type reconKey struct {
@@ -318,17 +322,23 @@ func (e *Engine) newDaemon(arch isa.Arch, opts victim.BuildOpts, cfg kernel.Conf
 	return victim.NewDaemonWith(prog, libc, cfg)
 }
 
-// poolable reports whether a daemon loaded under cfg has a seed-independent
-// memory layout and can therefore be recycled for another device's seed.
+// poolable reports whether a daemon loaded under cfg can be recycled for
+// another device's seed: every posture but the diversity rows, whose
+// per-device link options a recycled mapping cannot honor.
 func poolable(cfg kernel.Config) bool {
-	return !cfg.ASLR && !cfg.PIE && cfg.LinkOpts.Order == nil && cfg.LinkOpts.Pad == nil
+	return cfg.LinkOpts.Order == nil && cfg.LinkOpts.Pad == nil
+}
+
+// poolKeyFor returns the pool class of a daemon for cfg.
+func poolKeyFor(arch isa.Arch, opts victim.BuildOpts, cfg kernel.Config) poolKey {
+	return poolKey{arch: arch, opts: opts, wx: cfg.WX, aslr: cfg.ASLR, pie: cfg.PIE, entropy: cfg.ASLREntropyPages}
 }
 
 // acquireDaemon returns a device daemon for cfg, recycling an idle pooled
-// one when the layout allows it and loading fresh otherwise.
+// one when there is one and loading fresh otherwise.
 func (e *Engine) acquireDaemon(arch isa.Arch, opts victim.BuildOpts, cfg kernel.Config) (*victim.Daemon, error) {
 	if poolable(cfg) {
-		k := poolKey{arch: arch, opts: opts, wx: cfg.WX, entropy: cfg.ASLREntropyPages}
+		k := poolKeyFor(arch, opts, cfg)
 		e.poolMu.Lock()
 		list := e.pool[k]
 		var d *victim.Daemon
@@ -351,7 +361,7 @@ func (e *Engine) releaseDaemon(arch isa.Arch, opts victim.BuildOpts, cfg kernel.
 	if d == nil || !poolable(cfg) {
 		return
 	}
-	k := poolKey{arch: arch, opts: opts, wx: cfg.WX, entropy: cfg.ASLREntropyPages}
+	k := poolKeyFor(arch, opts, cfg)
 	e.poolMu.Lock()
 	e.pool[k] = append(e.pool[k], d)
 	e.poolMu.Unlock()

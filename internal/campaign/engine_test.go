@@ -6,6 +6,7 @@ import (
 
 	"connlab/internal/exploit"
 	"connlab/internal/isa"
+	"connlab/internal/telemetry"
 )
 
 // TestSingleScenarioMatrixCell: a one-device scenario reproduces the
@@ -203,6 +204,35 @@ func TestCanonicalOmitsTimings(t *testing.T) {
 	for _, banned := range []string{"workers", "wall", "cache"} {
 		if strings.Contains(c, banned) {
 			t.Errorf("canonical rendering contains %q:\n%s", banned, c)
+		}
+	}
+}
+
+// TestPoolRecyclesRandomizedLayouts: with one worker, an ASLR+PIE fleet
+// loads its first device and recycles the daemon for every later one,
+// while a diversity row, whose link options differ per device, loads
+// every device fresh.
+func TestPoolRecyclesRandomizedLayouts(t *testing.T) {
+	t.Cleanup(telemetry.Disable)
+	for _, c := range []struct {
+		name          string
+		p             Protection
+		fresh, reused uint64
+	}{
+		{"aslr+pie", Protection{WX: true, ASLR: true, PIE: true}, 1, 15},
+		{"diversity", Protection{WX: true, ASLR: true, DiversitySeed: 9}, 16, 0},
+	} {
+		telemetry.Enable()
+		_, err := New(Config{Workers: 1}).Run([]Scenario{
+			{Arch: isa.ArchX86S, Kind: exploit.KindRopMemcpy, Protection: c.p, Devices: 16},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		snap := telemetry.TakeSnapshot()
+		fresh, reused := snap.Counters[telemetry.CtrPoolFresh.Name()], snap.Counters[telemetry.CtrPoolRecycle.Name()]
+		if fresh != c.fresh || reused != c.reused {
+			t.Errorf("%s: %d fresh loads, %d recycles; want %d, %d", c.name, fresh, reused, c.fresh, c.reused)
 		}
 	}
 }

@@ -8,6 +8,7 @@ package kernel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -32,6 +33,10 @@ const StackSize = 1 << 20
 
 // HeapSize is the size of the mapped scratch-heap region.
 const HeapSize = 1 << 20
+
+// libcPrefix prefixes the segment names of libc's sections ("libc.text"),
+// keeping them apart from the program's.
+const libcPrefix = "libc"
 
 // HeapBaseFor returns the fixed base of the scratch heap for arch. The
 // heap is never slid by ASLR (matching 32-bit brk heaps of non-PIE
@@ -206,6 +211,10 @@ type Process struct {
 	// Prog is the linked program image; Libc the linked C library.
 	Prog *image.Image
 	Libc *image.Image
+	// progUnit/libcUnit are the units Prog and Libc were linked from,
+	// kept so a recycle under a new ASLR/PIE seed can relink them at
+	// their new bases.
+	progUnit, libcUnit *image.Unit
 
 	// StackTop is the highest stack address (first frame grows down from
 	// just below it).
@@ -233,7 +242,7 @@ type Process struct {
 
 	// guardAddr/canary record the seeded stack-protector guard (guardAddr
 	// 0 when the program declares none), letting a same-seed Recycle
-	// rewrite it without reconstructing the random stream.
+	// rewrite it without drawing from the random stream again.
 	guardAddr uint32
 	canary    uint32
 }
@@ -250,8 +259,8 @@ type Layout struct {
 }
 
 // layoutFor consumes the layout draws from rng in Load's exact order. It is
-// the single source of layout-randomization policy: Load, Recycle's stream
-// replay, and LayoutFor all go through it.
+// the single source of layout-randomization policy: Load, Recycle's
+// reseeded stream, and LayoutFor all go through it.
 func layoutFor(arch isa.Arch, cfg Config, rng *rand.Rand) Layout {
 	var l Layout
 	if cfg.PIE {
@@ -279,6 +288,37 @@ func layoutFor(arch isa.Arch, cfg Config, rng *rand.Rand) Layout {
 	return l
 }
 
+// progLayout returns the program link layout under lay: the fixed non-PIE
+// layout, shifted by the PIE slide (which is 0 without PIE).
+func progLayout(arch isa.Arch, lay Layout) image.Layout {
+	l := image.DefaultProgramLayout(arch)
+	l.TextBase += lay.ProgSlide
+	l.RODataBase += lay.ProgSlide
+	l.GOTBase += lay.ProgSlide
+	l.DataBase += lay.ProgSlide
+	l.BSSBase += lay.ProgSlide
+	return l
+}
+
+// gotContents returns the program's .got bytes with every import slot
+// pointing at its libc definition, or nil when the program imports
+// nothing.
+func gotContents(prog, libc *image.Image) ([]byte, error) {
+	sec := prog.Section(".got")
+	if sec == nil {
+		return nil, nil
+	}
+	b := make([]byte, len(sec.Data))
+	for name, slot := range prog.GOT {
+		addr, ok := libc.Lookup(name)
+		if !ok {
+			return nil, fmt.Errorf("load: import %q not provided by libc", name)
+		}
+		binary.LittleEndian.PutUint32(b[slot-sec.Addr:], addr)
+	}
+	return b, nil
+}
+
 // LayoutFor predicts the placement Load(cfg) would produce for arch — the
 // libc base, stack top and PIE slide — without linking or mapping anything.
 // Reconnaissance uses it to sample a replica's address constants cheaply;
@@ -296,16 +336,7 @@ func Load(prog *image.Unit, libc *image.Unit, cfg Config) (*Process, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	lay := layoutFor(prog.Arch, cfg, rng)
 
-	// Program link.
-	progLayout := image.DefaultProgramLayout(prog.Arch)
-	if cfg.PIE {
-		progLayout.TextBase += lay.ProgSlide
-		progLayout.RODataBase += lay.ProgSlide
-		progLayout.GOTBase += lay.ProgSlide
-		progLayout.DataBase += lay.ProgSlide
-		progLayout.BSSBase += lay.ProgSlide
-	}
-	progImg, err := image.Link(prog, progLayout, cfg.LinkOpts)
+	progImg, err := image.Link(prog, progLayout(prog.Arch, lay), cfg.LinkOpts)
 	if err != nil {
 		return nil, fmt.Errorf("link program: %w", err)
 	}
@@ -320,19 +351,17 @@ func Load(prog *image.Unit, libc *image.Unit, cfg Config) (*Process, error) {
 	if err := progImg.MapInto(m, ""); err != nil {
 		return nil, fmt.Errorf("map program: %w", err)
 	}
-	if err := libcImg.MapInto(m, "libc"); err != nil {
+	if err := libcImg.MapInto(m, libcPrefix); err != nil {
 		return nil, fmt.Errorf("map libc: %w", err)
 	}
 
 	// GOT population: point every import at its libc definition.
-	for name, got := range progImg.GOT {
-		addr, ok := libcImg.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("load: import %q not provided by libc", name)
-		}
-		if f := m.WriteU32(got, addr); f != nil {
-			return nil, fmt.Errorf("load: write got: %w", f)
-		}
+	got, err := gotContents(progImg, libcImg)
+	if err != nil {
+		return nil, err
+	}
+	if got != nil {
+		m.Segment(".got").Populate(0, got)
 	}
 
 	// Stack. Without W⊕X the stack is executable, the historical default
@@ -371,6 +400,8 @@ func Load(prog *image.Unit, libc *image.Unit, cfg Config) (*Process, error) {
 		m:        m,
 		Prog:     progImg,
 		Libc:     libcImg,
+		progUnit: prog,
+		libcUnit: libc,
 		StackTop: stackTop,
 		rng:      rng,
 		budget:   cfg.InstrBudget,
@@ -401,14 +432,16 @@ func Load(prog *image.Unit, libc *image.Unit, cfg Config) (*Process, error) {
 }
 
 // Recycle rewinds the process to a freshly loaded state for cfg without
-// relinking images or remapping segments: memory resets to the sealed
-// post-load baseline, the CPU returns to power-on state, and the random
-// stream a fresh Load(cfg) would have drawn (layout slides, canary) is
-// replayed, so a recycled process is indistinguishable from a new one. It
-// reports false — leaving the process untouched — when cfg could produce a
-// different memory layout than the one mapped: a changed protection axis,
-// diversity link options, or a different seed while ASLR/PIE slides are in
-// play. Callers fall back to a fresh Load on false.
+// mapping a new address space: memory resets to the sealed post-load
+// baseline, the CPU returns to power-on state, and the process's random
+// stream is reseeded and drawn exactly as a fresh Load(cfg) would draw it
+// (layout slides, then the canary), so a recycled process is
+// indistinguishable from a new one. Under ASLR or PIE a new seed moves
+// the layout: only the images whose base moved are relinked, and their
+// segments move together with the stack in one atomic mem.Rebase. It
+// reports false — leaving memory and the CPU untouched — when cfg changes
+// a protection axis or the ASLR entropy, asks for diversity link options,
+// or its layout does not fit. Callers fall back to a fresh Load on false.
 func (p *Process) Recycle(cfg Config) bool {
 	if !p.m.Sealed() {
 		return false
@@ -423,11 +456,15 @@ func (p *Process) Recycle(cfg Config) bool {
 		cfg.LinkOpts.Order != nil || cfg.LinkOpts.Pad != nil {
 		return false
 	}
-	// With ASLR or PIE the slides are seed-derived, so only the exact same
-	// seed reproduces the mapped layout. Without them the layout is fixed
-	// and any seed works (the canary is reseeded below).
-	if cfg.Seed != old.Seed && (cfg.ASLR || cfg.PIE) {
-		return false
+	newSeed := cfg.Seed != old.Seed
+	if newSeed {
+		// Reseed in place: the stream is the one NewSource(cfg.Seed)
+		// yields, without allocating a new source.
+		p.rng.Seed(cfg.Seed)
+		lay := layoutFor(p.arch, cfg, p.rng)
+		if (cfg.ASLR || cfg.PIE) && !p.relocate(cfg, lay) {
+			return false
+		}
 	}
 	if !p.m.Reset() {
 		return false
@@ -437,7 +474,6 @@ func (p *Process) Recycle(cfg Config) bool {
 	p.cpu.(stateResetter).ResetState()
 	p.cpu.SetHooks(cfg.Hooks)
 
-	sameSeed := cfg.Seed == old.Seed
 	p.cfg = cfg
 	p.budget = cfg.InstrBudget
 	if p.budget == 0 {
@@ -449,22 +485,71 @@ func (p *Process) Recycle(cfg Config) bool {
 	// enablement epoch it was loaded under (Enable doubles as a reset).
 	p.tel = telemetry.Handle()
 
-	if !sameSeed {
-		// Replay the layout draws Load(cfg) would have made before the
-		// canary, so the canary comes from the same point of the stream.
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		_ = layoutFor(p.arch, cfg, rng)
-		p.rng = rng
-		if p.guardAddr != 0 {
-			p.canary = rng.Uint32()<<8 | 0
-		}
-	}
-	// With the same seed every draw replays to the value Load produced, so
-	// the recorded canary is rewritten as is — no stream reconstruction.
+	// The canary is the next draw after the layout, as in Load. With the
+	// same seed every draw replays to the value Load produced, so the
+	// recorded canary is rewritten as is.
 	if p.guardAddr != 0 {
+		if newSeed {
+			p.canary = p.rng.Uint32()<<8 | 0
+		}
 		if f := p.m.WriteU32(p.guardAddr, p.canary); f != nil {
 			return false
 		}
+	}
+	return true
+}
+
+// relocate moves the process to lay: it relinks only the images whose base
+// moved (libc under ASLR, the program under PIE), rewrites the GOT for the
+// new libc, and moves their segments and the stack in one mem.Rebase that
+// also replaces their sealed baselines. It reports false, with nothing
+// changed, when an image fails to link or the new layout does not fit.
+func (p *Process) relocate(cfg Config, lay Layout) bool {
+	prog, libc := p.Prog, p.Libc
+	var err error
+	if l := progLayout(p.arch, lay); l != prog.Layout {
+		if prog, err = image.Link(p.progUnit, l, cfg.LinkOpts); err != nil {
+			return false
+		}
+	}
+	if l := image.LibraryLayout(lay.LibcBase); l != libc.Layout {
+		if libc, err = image.Link(p.libcUnit, l, image.Options{}); err != nil {
+			return false
+		}
+	}
+
+	var moves []mem.Move
+	if prog != p.Prog || libc != p.Libc {
+		got, err := gotContents(prog, libc)
+		if err != nil {
+			return false
+		}
+		if prog != p.Prog {
+			for _, s := range prog.Sections {
+				mv := mem.Move{Name: s.Name, Base: s.Addr, Data: s.Data}
+				if s.Name == ".got" {
+					mv.Data = got
+				}
+				moves = append(moves, mv)
+			}
+		} else if got != nil {
+			moves = append(moves, mem.Move{Name: ".got", Base: prog.Layout.GOTBase, Data: got})
+		}
+		if libc != p.Libc {
+			for _, s := range libc.Sections {
+				moves = append(moves, mem.Move{Name: libcPrefix + s.Name, Base: s.Addr, Data: s.Data})
+			}
+		}
+	}
+	if lay.StackTop != p.StackTop {
+		moves = append(moves, mem.Move{Name: "stack", Base: lay.StackTop - StackSize})
+	}
+	if err := p.m.Rebase(moves); err != nil {
+		return false
+	}
+	p.Prog, p.Libc, p.StackTop = prog, libc, lay.StackTop
+	if p.guardAddr != 0 {
+		p.guardAddr = prog.MustLookup("__stack_chk_guard")
 	}
 	return true
 }

@@ -59,9 +59,8 @@ func TestRecycleMatchesFreshLoad(t *testing.T) {
 	}
 }
 
-// TestRecycleASLRSameSeed: an ASLR process can be recycled only for the
-// same seed (the layout draws are already burned in), and the result must
-// match a fresh ASLR load byte for byte.
+// TestRecycleASLRSameSeed: a same-seed ASLR recycle keeps the mapped
+// layout and must match a fresh ASLR load.
 func TestRecycleASLRSameSeed(t *testing.T) {
 	cfg := Config{ASLR: true, Seed: 5}
 	p := loadHello(t, isa.ArchX86S, cfg)
@@ -87,8 +86,8 @@ func TestRecycleASLRSameSeed(t *testing.T) {
 	}
 }
 
-// TestRecycleRefusals: config changes that alter the memory image must
-// force a fresh Load.
+// TestRecycleRefusals: changes of a protection axis or of the ASLR entropy
+// must force a fresh Load; a new seed under ASLR must not.
 func TestRecycleRefusals(t *testing.T) {
 	p := loadHello(t, isa.ArchX86S, Config{Seed: 1})
 	cases := []struct {
@@ -113,9 +112,15 @@ func TestRecycleRefusals(t *testing.T) {
 		t.Fatalf("call after refusals: %+v, %v", res, err)
 	}
 
-	// New-seed recycle under ASLR is refused: the old draws are burned in.
+	// A new seed under ASLR is accepted: the segments move to the new
+	// seed's layout (TestRecycleRelocatesLikeFreshLoad pins the bytes).
 	q := loadHello(t, isa.ArchX86S, Config{ASLR: true, Seed: 1})
-	if q.Recycle(Config{ASLR: true, Seed: 2}) {
-		t.Error("ASLR recycle with a different seed accepted, want refused")
+	if !q.Recycle(Config{ASLR: true, Seed: 2}) {
+		t.Fatal("ASLR recycle with a different seed refused, want accepted")
+	}
+	if want := LayoutFor(isa.ArchX86S, Config{ASLR: true, Seed: 2}); q.Libc.Layout.TextBase != want.LibcBase ||
+		q.StackTop != want.StackTop {
+		t.Errorf("recycled layout libc %#x stack %#x, want %#x %#x",
+			q.Libc.Layout.TextBase, q.StackTop, want.LibcBase, want.StackTop)
 	}
 }

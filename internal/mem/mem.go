@@ -146,8 +146,9 @@ func (s *Segment) Size() uint32 { return uint32(len(s.Data)) }
 
 // DirtyRange returns the half-open byte-offset range written through the
 // Memory accessors (or Populate) since the segment was mapped or last
-// Seal/Reset; lo >= hi means clean. The differential lockstep harness
-// uses it to compare only the bytes an execution could have changed.
+// Seal/Reset; lo >= hi means clean, and a Clone's segments start fully
+// dirty. The differential lockstep harness uses it to compare only the
+// bytes an execution could have changed.
 func (s *Segment) DirtyRange() (lo, hi uint32) { return s.dirtyLo, s.dirtyHi }
 
 // End returns the first address past the segment.
@@ -212,12 +213,12 @@ type Memory struct {
 	// segment Contains-checked before use.
 	hint [4]int
 
-	// gen counts layout/permission generations: Map, Unmap, SetPerm and
-	// Reset bump it. Decoded-instruction caches key their validity to it —
-	// while gen is unchanged, the bytes of a non-writable segment cannot
-	// change (W⊕X aside, a write needs PermWrite, and changing permissions
-	// bumps gen). It starts at 1 so a zero-valued cache entry never
-	// validates.
+	// gen counts layout/permission generations: Map, Unmap, SetPerm,
+	// Rebase and Reset bump it. Decoded-instruction caches key their
+	// validity to it — while gen is unchanged, the bytes of a non-writable
+	// segment cannot change (W⊕X aside, a write needs PermWrite, and
+	// changing permissions bumps gen). It starts at 1 so a zero-valued
+	// cache entry never validates.
 	gen uint64
 
 	// sealed is the Reset baseline captured by Seal, nil before sealing.
@@ -577,21 +578,59 @@ func (m *Memory) ReadCString(addr, max uint32) (string, *Fault) {
 // the baseline Reset restores. The kernel seals an address space at the
 // end of a load; campaign fleets and recon probe loops then recycle the
 // space with Reset instead of linking and mapping a fresh one.
-// Seal relies on the dirty tracking to spot still-zero segments: a segment
-// no accessor or Populate call has touched since Map holds exactly the
-// zero fill Map gave it, so the megabyte stack and heap are sealed without
-// being scanned or copied.
+// Seal relies on the dirty tracking to avoid scanning or copying clean
+// bytes. A segment that was already sealed keeps its baseline, patched
+// with whatever accessors wrote since (outside the dirty range its bytes
+// still equal that baseline, even when Reset or Clone left it clean). A
+// segment sealed for the first time that no accessor or Populate call has
+// touched since Map holds exactly the zero fill Map gave it, so the
+// megabyte stack and heap are sealed without being copied.
 func (m *Memory) Seal() {
-	m.sealed = make([]sealedSeg, len(m.segs))
+	sealed := make([]sealedSeg, len(m.segs))
 	for i, s := range m.segs {
 		ss := sealedSeg{seg: s, perm: s.Perm}
-		if s.dirtyHi > s.dirtyLo {
+		dirty := s.dirtyHi > s.dirtyLo
+		switch prev := m.sealedFor(s); {
+		case prev != nil && prev.data != nil:
+			ss.data = prev.data
+			if dirty {
+				copy(ss.data[s.dirtyLo:s.dirtyHi], s.Data[s.dirtyLo:s.dirtyHi])
+			}
+		case dirty:
+			// Outside the dirty range the bytes are zero: Map's fill, or
+			// an all-zero baseline.
 			ss.data = make([]byte, len(s.Data))
 			copy(ss.data, s.Data)
 		}
-		m.sealed[i] = ss
+		sealed[i] = ss
 		s.clean()
 	}
+	m.sealed = sealed
+}
+
+// sealedFor returns the baseline entry of s, or nil if s is not sealed.
+func (m *Memory) sealedFor(s *Segment) *sealedSeg {
+	for i := range m.sealed {
+		if m.sealed[i].seg == s {
+			return &m.sealed[i]
+		}
+	}
+	return nil
+}
+
+// sealCurrent reports whether the sealed baseline covers exactly the
+// current segment set, in order — the precondition of Reset and of a
+// baseline-preserving Rebase.
+func (m *Memory) sealCurrent() bool {
+	if m.sealed == nil || len(m.sealed) != len(m.segs) {
+		return false
+	}
+	for i, ss := range m.sealed {
+		if m.segs[i] != ss.seg {
+			return false
+		}
+	}
+	return true
 }
 
 // Sealed reports whether Seal has captured a baseline.
@@ -610,13 +649,8 @@ func (m *Memory) Sealed() bool { return m.sealed != nil }
 // Segment.Data stores) are invisible to the dirty tracking and survive a
 // Reset; runtime code must not do that (see Segment).
 func (m *Memory) Reset() bool {
-	if m.sealed == nil || len(m.sealed) != len(m.segs) {
+	if !m.sealCurrent() {
 		return false
-	}
-	for i, ss := range m.sealed {
-		if m.segs[i] != ss.seg {
-			return false
-		}
 	}
 	for _, ss := range m.sealed {
 		s := ss.seg
@@ -635,16 +669,127 @@ func (m *Memory) Reset() bool {
 	return true
 }
 
+// Move is one segment relocation for Rebase: the segment named Name is
+// re-based to Base. A non-nil Data, which must be exactly as long as the
+// segment, replaces both its live bytes and its sealed baseline; that is
+// how a relinked image section, whose absolute addresses changed with its
+// base, brings its new contents along. A nil Data keeps the bytes as they
+// are (a zero-filled stack or an unrelocated section).
+type Move struct {
+	Name string
+	Base uint32
+	Data []byte
+}
+
+// Rebase applies moves as one atomic layout change. The final layout is
+// validated as a whole: a segment may move onto addresses another moving
+// segment vacates (a slid library's .text landing on its old .rodata),
+// but no two segments may overlap once every move is applied, no range
+// may wrap the address space, and every name must exist and appear once.
+// On error the space is left untouched, Gen included.
+//
+// On success the segments and the sealed baseline are re-sorted together,
+// so a later Reset restores each moved segment at its new base, and Gen
+// bumps. A moved segment keeps its identity and dirty tracking unless
+// Data replaced its contents, which leaves it clean in a sealed space
+// (live bytes equal the new baseline) and dirty in an unsealed one, so a
+// later Seal copies them. Rebase retains no reference to any Data.
+func (m *Memory) Rebase(moves []Move) error {
+	if m.sealed != nil && !m.sealCurrent() {
+		return fmt.Errorf("rebase: sealed baseline does not match the segment set")
+	}
+	var buf [16]int
+	idx := buf[:0] // idx[i] is the index in segs of moves[i]
+	for i, mv := range moves {
+		j := 0
+		for j < len(m.segs) && m.segs[j].Name != mv.Name {
+			j++
+		}
+		if j == len(m.segs) {
+			return fmt.Errorf("rebase: no segment %q", mv.Name)
+		}
+		idx = append(idx, j)
+		for _, prev := range moves[:i] {
+			if prev.Name == mv.Name {
+				return fmt.Errorf("rebase: segment %q moved twice", mv.Name)
+			}
+		}
+		s := m.segs[idx[i]]
+		if mv.Base+s.Size() < mv.Base {
+			return fmt.Errorf("rebase %s: range %#x+%#x wraps address space", mv.Name, mv.Base, s.Size())
+		}
+		if mv.Data != nil && len(mv.Data) != len(s.Data) {
+			return fmt.Errorf("rebase %s: %d data bytes for a %d-byte segment", mv.Name, len(mv.Data), len(s.Data))
+		}
+	}
+	// Check the final layout pairwise. Segment counts are small (a
+	// program, a library, stack and heap), so the quadratic scan is
+	// cheaper than sorting a copy.
+	final := func(j int) uint32 {
+		for i, k := range idx {
+			if k == j {
+				return moves[i].Base
+			}
+		}
+		return m.segs[j].Base
+	}
+	for a := range m.segs {
+		aLo := final(a)
+		aHi := aLo + m.segs[a].Size()
+		for b := a + 1; b < len(m.segs); b++ {
+			bLo := final(b)
+			if aLo < bLo+m.segs[b].Size() && bLo < aHi {
+				return fmt.Errorf("rebase: %s at %#x+%#x would overlap %s at %#x+%#x",
+					m.segs[a].Name, aLo, m.segs[a].Size(), m.segs[b].Name, bLo, m.segs[b].Size())
+			}
+		}
+	}
+
+	for i, mv := range moves {
+		s := m.segs[idx[i]]
+		s.Base = mv.Base
+		if mv.Data == nil {
+			continue
+		}
+		copy(s.Data, mv.Data)
+		if m.sealed == nil {
+			// Unsealed: the bytes are no longer Map's zero fill, which
+			// a later Seal must see.
+			s.markDirty(0, s.Size())
+			continue
+		}
+		ss := &m.sealed[idx[i]]
+		if ss.data == nil {
+			ss.data = make([]byte, len(mv.Data))
+		}
+		copy(ss.data, mv.Data)
+		s.clean()
+	}
+	// Insertion sort keeps segs and sealed index-aligned without the
+	// allocation a sort.Slice closure would cost.
+	for i := 1; i < len(m.segs); i++ {
+		for j := i; j > 0 && m.segs[j-1].Base > m.segs[j].Base; j-- {
+			m.segs[j-1], m.segs[j] = m.segs[j], m.segs[j-1]
+			if m.sealed != nil {
+				m.sealed[j-1], m.sealed[j] = m.sealed[j], m.sealed[j-1]
+			}
+		}
+	}
+	m.gen++
+	return nil
+}
+
 // Clone returns a deep copy of the address space, used for snapshot/restore
 // style debugging and for diversity experiments that perturb one copy. The
-// clone starts unsealed and with a fresh generation.
+// clone starts unsealed and with a fresh generation. Every cloned segment
+// is marked dirty over its whole length: its bytes are not the zero fill
+// of a fresh Map, so a later Seal must copy them.
 func (m *Memory) Clone() *Memory {
 	c := &Memory{wx: m.wx, gen: 1, segs: make([]*Segment, len(m.segs))}
 	for i, s := range m.segs {
 		d := make([]byte, len(s.Data))
 		copy(d, s.Data)
-		cs := &Segment{Name: s.Name, Base: s.Base, Perm: s.Perm, Data: d}
-		cs.clean()
+		cs := &Segment{Name: s.Name, Base: s.Base, Perm: s.Perm, Data: d, dirtyHi: s.Size()}
 		c.segs[i] = cs
 	}
 	return c

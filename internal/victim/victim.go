@@ -340,8 +340,9 @@ type Daemon struct {
 	last    kernel.RunResult
 	handled int
 	// parseEntry caches the resolved parse_response entry point for the
-	// current process image: symbol lookup is per-load (PIE moves it), so
-	// Restart resets it. Zero means not yet resolved.
+	// current program image: PIE moves it on every load, and on a recycle
+	// under a new seed, which relinks the program, so both reset it. Zero
+	// means not yet resolved.
 	parseEntry uint32
 }
 
@@ -432,12 +433,16 @@ func (d *Daemon) Shells() []kernel.ShellSpawn { return d.proc.Shells() }
 
 // Recycle rewinds the daemon to a freshly started state for cfg without
 // rebuilding or reloading, via kernel.Process.Recycle. It reports false
-// when the existing process cannot reproduce a fresh Load(cfg) (layout
-// config changed, or a new seed while ASLR/PIE is on); callers then build
-// a new daemon instead.
+// when the existing process cannot reproduce a fresh Load(cfg) (a changed
+// protection axis or ASLR entropy, diversity link options, or a layout
+// that does not fit); callers then build a new daemon instead.
 func (d *Daemon) Recycle(cfg kernel.Config) bool {
+	prog := d.proc.Prog
 	if !d.proc.Recycle(cfg) {
 		return false
+	}
+	if d.proc.Prog != prog {
+		d.parseEntry = 0 // PIE relinked the program at a new base
 	}
 	d.cfg = cfg
 	d.crashed = false
@@ -446,9 +451,15 @@ func (d *Daemon) Recycle(cfg kernel.Config) bool {
 	return true
 }
 
-// Restart replaces the dead process with a fresh load (same config; a new
-// ASLR sample), as an init system respawning the daemon would.
+// Restart respawns the dead daemon as an init system would: with the same
+// config, hence the same seed and the same layout. It recycles the
+// process in place and falls back to a fresh load when recycling is
+// refused (diversity link options). Either way Handled counts from zero
+// again.
 func (d *Daemon) Restart() error {
+	if d.Recycle(d.cfg) {
+		return nil
+	}
 	var proc *kernel.Process
 	var err error
 	if d.prog != nil && d.libc != nil {
@@ -462,6 +473,7 @@ func (d *Daemon) Restart() error {
 	d.proc = proc
 	d.crashed = false
 	d.last = kernel.RunResult{}
+	d.handled = 0
 	d.parseEntry = 0
 	return nil
 }

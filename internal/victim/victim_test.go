@@ -157,11 +157,18 @@ func TestDaemonRejectsNonResponses(t *testing.T) {
 	}
 }
 
+// TestDaemonRestart: a crashed daemon comes back serving, with the same
+// config and therefore the same layout, even under ASLR and PIE.
 func TestDaemonRestart(t *testing.T) {
-	d, err := NewDaemon(isa.ArchARMS, BuildOpts{}, kernel.Config{Seed: 1})
+	d, err := NewDaemon(isa.ArchARMS, BuildOpts{}, kernel.Config{ASLR: true, PIE: true, Seed: 1})
 	if err != nil {
 		t.Fatalf("daemon: %v", err)
 	}
+	layout := func() [3]uint32 {
+		p := d.Process()
+		return [3]uint32{p.Prog.Layout.TextBase, p.Libc.Layout.TextBase, p.StackTop}
+	}
+	before := layout()
 	if _, err := d.HandleResponse(overflowResponse(t, query(), 30, 63, 'A')); err != nil {
 		t.Fatalf("handle: %v", err)
 	}
@@ -173,6 +180,9 @@ func TestDaemonRestart(t *testing.T) {
 	}
 	if err := d.Restart(); err != nil {
 		t.Fatalf("restart: %v", err)
+	}
+	if after := layout(); after != before {
+		t.Errorf("layout after restart = %#x, want unchanged %#x", after, before)
 	}
 	res, err := d.HandleResponse(benignResponse(t, query()))
 	if err != nil {
@@ -188,4 +198,45 @@ func boolStr(b bool) string {
 		return "true"
 	}
 	return "false"
+}
+
+// TestPIERecycleCallsRelocatedParser: under PIE a new-seed recycle moves
+// parse_response, and the daemon must call it at its new address — with
+// the same result a fresh daemon for that seed produces.
+func TestPIERecycleCallsRelocatedParser(t *testing.T) {
+	for _, arch := range []isa.Arch{isa.ArchX86S, isa.ArchARMS} {
+		t.Run(string(arch), func(t *testing.T) {
+			d, err := NewDaemon(arch, BuildOpts{}, kernel.Config{PIE: true, Seed: 1})
+			if err != nil {
+				t.Fatalf("daemon: %v", err)
+			}
+			if _, err := d.HandleResponse(benignResponse(t, query())); err != nil {
+				t.Fatalf("handle: %v", err)
+			}
+			old := d.Process().Prog.MustLookup("parse_response")
+			cfg := kernel.Config{PIE: true, Seed: 2}
+			if !d.Recycle(cfg) {
+				t.Fatal("PIE recycle under a new seed refused")
+			}
+			if moved := d.Process().Prog.MustLookup("parse_response"); moved == old {
+				t.Fatalf("parse_response stayed at %#x; pick seeds with different slides", old)
+			}
+			fresh, err := NewDaemon(arch, BuildOpts{}, cfg)
+			if err != nil {
+				t.Fatalf("fresh daemon: %v", err)
+			}
+			got, err := d.HandleResponse(benignResponse(t, query()))
+			if err != nil {
+				t.Fatalf("recycled handle: %v", err)
+			}
+			want, err := fresh.HandleResponse(benignResponse(t, query()))
+			if err != nil {
+				t.Fatalf("fresh handle: %v", err)
+			}
+			if got.Status != kernel.StatusReturned || got.Status != want.Status ||
+				got.RetVal != want.RetVal || got.Instructions != want.Instructions {
+				t.Errorf("recycled run %+v, fresh %+v", got, want)
+			}
+		})
+	}
 }

@@ -17,7 +17,7 @@ go vet ./...
 go build ./...
 go test ./...
 go test -race ./internal/telemetry/... ./internal/campaign/... ./internal/core/... \
-    ./internal/netsim/... ./internal/dnsserver/...
+    ./internal/netsim/... ./internal/dnsserver/... ./internal/kernel/... ./internal/victim/...
 # The sharded netsim with the recycled-buffer poison armed: handlers
 # that retain payload aliases fail deterministically under this tag.
 go test -tags netsimdebug ./internal/netsim/
@@ -33,6 +33,10 @@ go test -run '^$' -fuzz FuzzBlockStep -fuzztime 5s ./internal/isa/arms
 # The wire-format zone trie against its map oracle: random wire names
 # in, byte-identical hit/miss decisions out.
 go test -run '^$' -fuzz FuzzZoneTrie -fuzztime 5s ./internal/dnsserver
+# Segment relocation against a naive interval model: an accepted
+# Rebase must Reset to the baselines at the new bases, a refused one
+# must leave memory byte-identical with Gen unchanged.
+go test -run '^$' -fuzz FuzzRebase -fuzztime 5s ./internal/mem
 # The scenario spec parser: never panics, and every accepted spec
 # round-trips through its canonical rendering.
 go test -run '^$' -fuzz FuzzScenarioSpec -fuzztime 5s ./internal/scenario
